@@ -13,7 +13,10 @@
     Component [j] of a write's vector is the sequence number of the
     last write of [p_j] in its causal past (including itself for the
     issuer component) — so, by Corollary 1,
-    [w' ↦co w  ⟺  seq w' ≤ (vector w).(replica w')] for [w' ≠ w]. *)
+    [w' ↦co w  ⟺  seq w' ≤ (vector w).(replica w')] for [w' ≠ w].
+
+    Vectors are stored densely, per issuer by write index and per
+    process by read slot, so every lookup below is O(1). *)
 
 type t
 
@@ -30,6 +33,16 @@ val of_read : t -> proc:int -> slot:int -> Dsm_vclock.Vector_clock.t
 (** Causal-past vector of a read: component [j] counts the writes of
     [p_j] that causally precede the read.
     @raise Not_found for an absent read. *)
+
+val shared_of_write : t -> Dsm_vclock.Dot.t -> Dsm_vclock.Vector_clock.t
+(** {!of_write} without the copy: the stored vector itself, which the
+    caller must not mutate. Allocates nothing.
+    @raise Not_found for a dot that is not a write of the history. *)
+
+val shared_of_read :
+  t -> proc:int -> slot:int -> Dsm_vclock.Vector_clock.t
+(** {!of_read} without the copy; the same contract as
+    {!shared_of_write}. @raise Not_found for an absent read. *)
 
 val write_precedes : t -> Dsm_vclock.Dot.t -> Dsm_vclock.Dot.t -> bool
 (** [w ↦co w'] via Corollary 1. O(1).

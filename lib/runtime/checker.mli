@@ -19,7 +19,26 @@
       identically 0; the tests enforce exactly that;
     - {b completeness} (class 𝒫 membership, §3.2): every write is
       applied at every process — writing-semantics protocols fail this
-      by design, with each miss accounted as a skip or a lost write. *)
+      by design, with each miss accounted as a skip or a lost write.
+
+    {b Cost.} After building the history and its write vectors, one pass
+    walks each process's events over flat arrays indexed by (issuer,
+    seq − floor) — no per-event table, map or vector copy. Per event,
+    with [n] processes: a receipt or a skip is O(1) (a skip amortized
+    over the seqs it covers); an apply is O(n), plus O(|blocking|)
+    when it is flagged delayed; a read is O(n log k) for [k] writes on
+    its variable, plus one step per reported violation. Under
+    [?replication] an apply's safety check is still O(n) plus its
+    violations, but a delayed apply's blocking set is found by a scan
+    of the write's causal past. DESIGN.md §16 derives the blocking sets
+    and the read-legality test.
+
+    {b Reference.} The test suite keeps the earlier scan-based auditor
+    as an oracle ([test/reference_checker.ml]); on every execution it
+    is given — every protocol, partial replication, the nemesis corpus
+    and swarm, soak windows and hand-built corner cases — the two
+    return structurally equal reports (same counts, lists, strings and
+    order) or raise the same exception. *)
 
 type violation =
   | Safety of {

@@ -53,6 +53,11 @@ let events_of t proc =
     invalid_arg "Execution.events_of: process id out of range";
   Trace.to_list t.per_proc.(proc)
 
+let iteri_of t proc f =
+  if proc < 0 || proc >= t.n then
+    invalid_arg "Execution.iteri_of: process id out of range";
+  Trace.iteri f t.per_proc.(proc)
+
 let event_count t = Trace.length t.trace
 
 let apply_order t proc =

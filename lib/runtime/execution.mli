@@ -56,6 +56,11 @@ val events : t -> event list
 val events_of : t -> int -> event list
 (** The sequence [E_i] of one process. *)
 
+val iteri_of : t -> int -> (int -> event -> unit) -> unit
+(** [iteri_of t i f] applies [f pos e] to each event of [E_i] in order,
+    [pos] being its index in [events_of t i], without building the list.
+    @raise Invalid_argument on bad process id. *)
+
 val event_count : t -> int
 
 (** {1 Queries used by the checker and reports} *)

@@ -169,7 +169,10 @@ let wire_of_env msg_frame env =
 
 let mix d x = (d * 1000003) lxor x
 
-let run (type pt pm)
+let check_window ~expected ~floor execution =
+  Checker.check ~expected ~floor execution
+
+let run (type pt pm) ?(audit = check_window)
     (module P : Protocol.S with type t = pt and type msg = pm) cfg =
   if cfg.universe < 2 then invalid_arg "Soak.run: universe must be >= 2";
   if cfg.min_live < 2 || cfg.min_live > cfg.universe then
@@ -712,7 +715,7 @@ let run (type pt pm)
     let w_writes, w_applies, wg, wf, wx, wd = scan_window !execution in
     let sg, sf = scan_stores common in
     let report =
-      Checker.check
+      audit
         ~expected:(fun ~proc ~dot:_ -> Membership.is_active membership proc)
         ~floor:(V.of_array floor) !execution
     in

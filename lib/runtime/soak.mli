@@ -139,10 +139,17 @@ type outcome = {
 }
 
 val run :
+  ?audit:
+    (expected:(proc:int -> dot:Dsm_vclock.Dot.t -> bool) ->
+    floor:Dsm_vclock.Vector_clock.t ->
+    Execution.t ->
+    Checker.report) ->
   (module Dsm_core.Protocol.S with type t = 'pt and type msg = 'pm) ->
   config ->
   outcome
-(** Runs the soak to completion.
+(** Runs the soak to completion. [audit] checks each closing window
+    (default: {!Checker.check} with the same arguments); a test can pass
+    an auditor that also cross-checks another implementation.
     @raise Invalid_argument on a malformed config, or for protocols
     that do not support [adopt] (static topologies).
     @raise Failure when a barrier fails to converge within
