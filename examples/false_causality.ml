@@ -59,7 +59,9 @@ let () =
 
   (* OptP under the same message pattern (Figure 6) *)
   let optp = show_run "\nOptP (Figure 6)" (module Dsm_core.Opt_p) PS.figure6 in
-  let wv = Dsm_memory.Write_vectors.compute optp.history in
+  let wv =
+    Dsm_memory.Write_vectors.compute (Execution.to_history optp.execution)
+  in
   Format.printf "OptP's timestamp of b: Write_co = %a   (b depends only on a)@."
     V.pp (Dsm_memory.Write_vectors.of_write wv PS.w2b);
 

@@ -30,8 +30,9 @@ let () =
 
   (* 2. the abstract history the run produced *)
   print_endline "\nReconstructed history:";
-  Format.printf "%a@." Dsm_memory.History.pp outcome.history;
-  assert (PS.h1_matches outcome.history);
+  let history = Execution.to_history outcome.execution in
+  Format.printf "%a@." Dsm_memory.History.pp history;
+  assert (PS.h1_matches history);
   print_endline "(matches the paper's H1 exactly)";
 
   (* 3. independent audit *)
@@ -41,16 +42,16 @@ let () =
   assert (report.unnecessary_delays = 0);
 
   (* 4. causal consistency, from first principles *)
-  let co = Dsm_memory.Causal_order.compute outcome.history in
+  let co = Dsm_memory.Causal_order.compute history in
   Format.printf "Causally consistent: %b@."
     (Dsm_memory.Legality.is_causally_consistent co);
 
   (* 5. the Write_co timestamps that made it work *)
-  let wv = Dsm_memory.Write_vectors.compute outcome.history in
+  let wv = Dsm_memory.Write_vectors.compute history in
   print_endline "\nWrite_co timestamps (Theorem 1: they characterize ↦co):";
   List.iter
     (fun (w : Dsm_memory.Operation.write) ->
       Format.printf "  %a.Write_co = %a@." Dsm_memory.Operation.pp
         (Dsm_memory.Operation.Write w) Dsm_vclock.Vector_clock.pp
         (Dsm_memory.Write_vectors.of_write wv w.wdot))
-    (Dsm_memory.History.writes outcome.history)
+    (Dsm_memory.History.writes history)

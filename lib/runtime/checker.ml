@@ -3,6 +3,8 @@ module V = Dsm_vclock.Vector_clock
 module History = Dsm_memory.History
 module Operation = Dsm_memory.Operation
 module Write_vectors = Dsm_memory.Write_vectors
+module Key = Execution.Key
+module Cursor = Execution.Cursor
 
 type violation =
   | Safety of { proc : int; applied : Dot.t; missing : Dot.t }
@@ -48,11 +50,12 @@ let check ?replication ?expected ?floor exec =
      everywhere before the window opened (the convergence barrier that
      closed the previous window), so every audit baseline starts there *)
   let floor_at j = match floor with None -> 0 | Some f -> V.get0 f j in
-  let below_floor d = Dot.seq d <= floor_at (Dot.replica d) in
+  let below_floor k = Key.seq k <= floor_at (Key.replica k) in
   let base = Array.init n floor_at in
   let writes = Array.of_list (History.writes history) in
   let nw = Array.length writes in
   let wdot = Array.map (fun (w : Operation.write) -> w.wdot) writes in
+  let wkey = Array.map Key.of_dot wdot in
   let wvar = Array.map (fun (w : Operation.write) -> w.wvar) writes in
   (* every vector below is one of [wv]'s, [n] wide at least, and every
      component read is a process id: [V.unsafe_get] stays in range *)
@@ -69,13 +72,12 @@ let check ?replication ?expected ?floor exec =
   (* index of issuer [j]'s write [s]; [s] in [base.(j) .. last] gives
      [first.(j) - 1 .. first.(j+1) - 1] *)
   let at j s = first.(j) + s - base.(j) - 1 in
-  let index_of d =
-    let j = Dot.replica d in
+  let index_of k =
+    let j = Key.replica k in
     if j >= n then -1
     else
-      let w = at j (Dot.seq d) in
-      if w >= first.(j) && w < first.(j + 1) && Dot.equal wdot.(w) d then w
-      else -1
+      let w = at j (Key.seq k) in
+      if w >= first.(j) && w < first.(j + 1) && wkey.(w) = k then w else -1
   in
   (* the indices of each variable's writes, ascending, so by issuer:
      issuer [j]'s writes on [x] sit at [seg.(x).(j) .. seg.(x).(j+1) - 1]
@@ -160,9 +162,9 @@ let check ?replication ?expected ?floor exec =
       done
     end;
     let read_slot = ref 0 in
-    let record_logical_apply d g =
-      let j = Dot.replica d in
-      let s = Dot.seq d in
+    let record_logical_apply k g =
+      let j = Key.replica k in
+      let s = Key.seq k in
       if s > cnt.(j) then begin
         for w = at j (cnt.(j) + 1) to min (at j s) (first.(j + 1) - 1) do
           reach.(w) <- g
@@ -260,15 +262,15 @@ let check ?replication ?expected ?floor exec =
         bot_read ~var xs ~lo (i - 1)
       end
     in
-    let rec stale_read ~var d xs ~lo i =
+    let rec stale_read ~var k xs ~lo i =
       if i >= lo then
         let w = xs.(i) in
-        if Dot.equal wdot.(w) d then stale_read ~var d xs ~lo (i - 1)
+        if wkey.(w) = k then stale_read ~var k xs ~lo (i - 1)
         else if
           (* a compacted write from an earlier window precedes every
              window write: the barrier that closed its window made it
              part of everyone's causal past *)
-          below_floor d || Dot.seq d <= V.unsafe_get wvec.(w) (Dot.replica d)
+          below_floor k || Key.seq k <= V.unsafe_get wvec.(w) (Key.replica k)
         then begin
           violation
             (Illegal_read
@@ -278,11 +280,12 @@ let check ?replication ?expected ?floor exec =
                    Format.asprintf
                      "read of x%d from %a is stale: %a is causally \
                       interposed"
-                     (var + 1) Dot.pp d Dot.pp wdot.(w);
+                     (var + 1) Dot.pp (Key.to_dot k) Dot.pp wdot.(w);
                });
-          stale_read ~var d xs ~lo (i - 1)
+          stale_read ~var k xs ~lo (i - 1)
         end
     in
+    (* [read_from] is a key, or [Key.none] for ⊥ *)
     let check_read ~var ~read_from =
       let rvec = Write_vectors.shared_of_read wv ~proc ~slot:!read_slot in
       if var >= 0 && var < nvars then
@@ -291,43 +294,47 @@ let check ?replication ?expected ?floor exec =
           let lo = seg.(j) and hi = seg.(j + 1) in
           if lo < hi then
             let i = last_le xs ~lo ~hi (at j (V.unsafe_get rvec j)) in
-            match read_from with
-            | None -> bot_read ~var xs ~lo i
-            | Some d -> stale_read ~var d xs ~lo i
+            if read_from = Key.none then bot_read ~var xs ~lo i
+            else stale_read ~var read_from xs ~lo i
         done
     in
+    let c = Cursor.of_process exec proc in
     let len = ref 0 in
-    Execution.iteri_of exec proc (fun pos (e : Execution.event) ->
-        let g = off + pos in
-        len := pos + 1;
-        match e.kind with
-        | Execution.Receipt { dot; _ } ->
-            let w = index_of dot in
-            if w >= 0 then receipt_at.(w) <- g
-        | Execution.Apply { dot; delayed; _ } ->
-            incr applies;
-            let w = index_of dot in
-            (* as [Write_vectors.of_write] for a write not in the history *)
-            if w < 0 then raise Not_found;
-            let vec = wvec.(w) in
-            if partial then check_safety_partial w dot vec
-            else check_safety_full dot vec;
-            if delayed then classify_delay w g dot vec;
-            record_logical_apply dot g;
-            applied_at.(w) <- g;
-            if partial && pref.(Dot.replica dot) = w then
-              advance (Dot.replica dot)
-        | Execution.Skip { dot } ->
-            (* a writing-semantics logical apply: counted for ordering
-               but intentionally unordered w.r.t. its own causal past *)
-            incr skips;
-            record_logical_apply dot g;
-            let w = index_of dot in
-            if w >= 0 then skipped_at.(w) <- g
-        | Execution.Return { var; read_from; _ } ->
-            check_read ~var ~read_from;
-            incr read_slot
-        | Execution.Send _ | Execution.Blocked _ -> ());
+    while Cursor.next c do
+      let pos = Cursor.pos c in
+      let g = off + pos in
+      len := pos + 1;
+      match Cursor.tag c with
+      | Receipt ->
+          let w = index_of (Cursor.key c) in
+          if w >= 0 then receipt_at.(w) <- g
+      | Apply ->
+          incr applies;
+          let k = Cursor.key c in
+          let w = index_of k in
+          (* as [Write_vectors.of_write] for a write not in the history *)
+          if w < 0 then raise Not_found;
+          let dot = wdot.(w) in
+          let vec = wvec.(w) in
+          if partial then check_safety_partial w dot vec
+          else check_safety_full dot vec;
+          if Cursor.delayed c then classify_delay w g dot vec;
+          record_logical_apply k g;
+          applied_at.(w) <- g;
+          if partial && pref.(Key.replica k) = w then advance (Key.replica k)
+      | Skip ->
+          (* a writing-semantics logical apply: counted for ordering
+             but intentionally unordered w.r.t. its own causal past *)
+          incr skips;
+          let k = Cursor.key c in
+          record_logical_apply k g;
+          let w = index_of k in
+          if w >= 0 then skipped_at.(w) <- g
+      | Return ->
+          check_read ~var:(Cursor.var c) ~read_from:(Cursor.key c);
+          incr read_slot
+      | Send | Blocked -> ()
+    done;
     (* this process's missing applies, each lost unless it was a
        writing-semantics skip — anything else is a liveness failure *)
     for w = 0 to nw - 1 do

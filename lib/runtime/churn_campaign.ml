@@ -168,27 +168,30 @@ type ('proto, 'msg) node = {
    two different (var, value) bindings anywhere (a forged or corrupted
    write surviving the checksum layer). *)
 let count_quarantine_leaks execution =
-  let seen_value : (Dot.t, int * int) Hashtbl.t = Hashtbl.create 256 in
-  let applied : (int * Dot.t, unit) Hashtbl.t = Hashtbl.create 256 in
+  (* dots as {!Execution.Key}s; a process's applies in a table of its own *)
+  let seen_value : (int, int * int) Hashtbl.t = Hashtbl.create 256 in
+  let applied =
+    Array.init (Execution.n_processes execution) (fun _ -> Hashtbl.create 64)
+  in
   let leaks = ref 0 in
-  List.iter
-    (fun (ev : Execution.event) ->
-      let check_value dot var value =
-        match Hashtbl.find_opt seen_value dot with
-        | None -> Hashtbl.add seen_value dot (var, value)
-        | Some (var', value') ->
-            if var <> var' || value <> value' then incr leaks
-      in
-      match ev.Execution.kind with
-      | Execution.Send { dot; var; value } -> check_value dot var value
-      | Execution.Apply { dot; var; value; _ } ->
-          check_value dot var value;
-          if Hashtbl.mem applied (ev.Execution.proc, dot) then incr leaks
-          else Hashtbl.add applied (ev.Execution.proc, dot) ()
-      | Execution.Receipt _ | Execution.Blocked _ | Execution.Skip _
-      | Execution.Return _ ->
-          ())
-    (Execution.events execution);
+  let check_value key var value =
+    match Hashtbl.find_opt seen_value key with
+    | None -> Hashtbl.add seen_value key (var, value)
+    | Some (var', value') -> if var <> var' || value <> value' then incr leaks
+  in
+  let c = Execution.Cursor.global execution in
+  while Execution.Cursor.next c do
+    match Execution.Cursor.tag c with
+    | Send ->
+        check_value (Execution.Cursor.key c) (Execution.Cursor.var c)
+          (Execution.Cursor.value c)
+    | Apply ->
+        let key = Execution.Cursor.key c in
+        check_value key (Execution.Cursor.var c) (Execution.Cursor.value c);
+        let mine = applied.(Execution.Cursor.proc c) in
+        if Hashtbl.mem mine key then incr leaks else Hashtbl.add mine key ()
+    | Receipt | Blocked | Skip | Return -> ()
+  done;
   !leaks
 
 let run (type pt pm)

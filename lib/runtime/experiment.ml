@@ -29,19 +29,26 @@ let send_vectors exec =
   let n = Execution.n_processes exec in
   let clocks = Array.init n (fun _ -> V.create n) in
   let stamped = ref Dot.Map.empty in
-  List.iter
-    (fun (e : Execution.event) ->
-      match e.kind with
-      | Execution.Send { dot; _ } ->
-          V.tick clocks.(e.proc) e.proc;
-          stamped := Dot.Map.add dot (V.copy clocks.(e.proc)) !stamped
-      | Execution.Receipt { dot; _ } -> (
-          match Dot.Map.find_opt dot !stamped with
-          | Some v -> V.merge_into clocks.(e.proc) v
-          | None -> () (* receipt without recorded send: driver bug *))
-      | Execution.Apply _ | Execution.Blocked _ | Execution.Skip _
-      | Execution.Return _ -> ())
-    (Execution.events exec);
+  let c = Execution.Cursor.global exec in
+  while Execution.Cursor.next c do
+    let proc = Execution.Cursor.proc c in
+    match Execution.Cursor.tag c with
+    | Send ->
+        V.tick clocks.(proc) proc;
+        stamped :=
+          Dot.Map.add
+            (Execution.Key.to_dot (Execution.Cursor.key c))
+            (V.copy clocks.(proc)) !stamped
+    | Receipt -> (
+        match
+          Dot.Map.find_opt
+            (Execution.Key.to_dot (Execution.Cursor.key c))
+            !stamped
+        with
+        | Some v -> V.merge_into clocks.(proc) v
+        | None -> () (* receipt without recorded send: driver bug *))
+    | Apply | Blocked | Skip | Return -> ()
+  done;
   !stamped
 
 (* ------------------------------------------------------------------ *)
@@ -74,6 +81,7 @@ let table1 () =
 
 let table2 () =
   let outcome = PS.run anbkh PS.figure3 in
+  let history = Execution.to_history outcome.execution in
   let vectors = send_vectors outcome.execution in
   let send_vt dot =
     match Dot.Map.find_opt dot vectors with
@@ -83,12 +91,12 @@ let table2 () =
   let writes =
     List.map
       (fun (w : Dsm_memory.Operation.write) -> w.wdot)
-      (History.writes outcome.history)
+      (History.writes history)
   in
   enabling_table
     ~title:
       "Table 2: X_ANBKH(e) for the run of Figure 3 (paper Table 2)"
-    ~history:outcome.history
+    ~history
     ~set_of:(fun _co ev -> Enabling.anbkh ~send_vt ~writes ev)
 
 (* ------------------------------------------------------------------ *)
@@ -154,14 +162,15 @@ let figure6 () =
   Buffer.add_string buf (sequences_of outcome [ 0; 1; 2 ]);
   Buffer.add_string buf
     (Timeline.render ~width:64 outcome.Scripted_run.execution);
-  let wv = Dsm_memory.Write_vectors.compute outcome.history in
+  let history = Execution.to_history outcome.execution in
+  let wv = Dsm_memory.Write_vectors.compute history in
   List.iter
     (fun (w : Dsm_memory.Operation.write) ->
       Buffer.add_string buf
         (Format.asprintf "  %a.Write_co = %a@." Dsm_memory.Operation.pp
            (Dsm_memory.Operation.Write w) V.pp
            (Dsm_memory.Write_vectors.of_write wv w.wdot)))
-    (History.writes outcome.history);
+    (History.writes history);
   Buffer.add_string buf (delay_line outcome);
   Buffer.contents buf
 
@@ -536,18 +545,19 @@ let q8_lossy_links ?(drops = [ 0.0; 0.1; 0.2; 0.4 ]) ?(seeds = [ 1; 2; 3 ])
     drops;
   table
 
-(* final last-writer per variable at each process, from the trace *)
+(* final last-writer per variable at each process, from the trace, as
+   {!Execution.Key}s ([Key.none]: never written) *)
 let final_stores exec =
   let n = Execution.n_processes exec in
   let m = Execution.n_variables exec in
-  let stores = Array.init n (fun _ -> Array.make m None) in
-  List.iter
-    (fun (e : Execution.event) ->
-      match e.kind with
-      | Execution.Apply { dot; var; _ } -> stores.(e.proc).(var) <- Some dot
-      | _ -> ())
-    (Execution.events exec);
-  stores
+  Array.init n (fun proc ->
+      let store = Array.make m Execution.Key.none in
+      let c = Execution.Cursor.of_process exec proc in
+      while Execution.Cursor.next c do
+        if Execution.Cursor.tag c = Apply then
+          store.(Execution.Cursor.var c) <- Execution.Cursor.key c
+      done;
+      store)
 
 let divergent_fraction exec =
   let stores = final_stores exec in
@@ -558,7 +568,7 @@ let divergent_fraction exec =
     let divergent = ref 0 in
     for var = 0 to m - 1 do
       let distinct =
-        List.sort_uniq compare
+        List.sort_uniq Int.compare
           (List.map (fun p -> stores.(p).(var)) (List.init n Fun.id))
       in
       if List.length distinct > 1 then incr divergent
@@ -663,7 +673,7 @@ let q10_metadata_size ?(ns = [ 3; 6; 9; 12 ]) ?(seeds = [ 1; 2; 3 ])
             let report = Checker.check o.Sim_run.execution in
             if not (Checker.is_clean report) then
               failwith "q10: unclean OptP-direct run";
-            mean_dependency_count o.Sim_run.history)
+            mean_dependency_count (Execution.to_history o.Sim_run.execution))
           seeds
       in
       let mean = Summary.mean (Summary.of_list means) in

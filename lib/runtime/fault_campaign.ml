@@ -65,7 +65,6 @@ type replica_state = {
 
 type outcome = {
   execution : Execution.t;
-  history : Dsm_memory.History.t;
   report : Checker.report;
   protocol_name : string;
   plan : Fault_plan.t;
@@ -718,7 +717,6 @@ let run (type pt pm)
   in
   {
     execution;
-    history = Execution.to_history execution;
     report;
     protocol_name = P.name;
     plan;

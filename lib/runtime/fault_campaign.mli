@@ -76,7 +76,6 @@ type replica_state = {
 
 type outcome = {
   execution : Execution.t;
-  history : Dsm_memory.History.t;
   report : Checker.report;
   protocol_name : string;
   plan : Dsm_sim.Fault_plan.t;

@@ -42,23 +42,18 @@ module Make (P : Protocol.S) = struct
 
   let now t = Engine.now t.engine
 
-  let record t kind = Execution.record t.execution ~proc:t.me ~time:(now t) kind
-
   let process_effects t (eff : P.msg Protocol.effects) =
     (* a writing-semantics skip is the logical apply of the overwritten
        write "immediately before" its overwriter's apply: record skips
        first so event order reflects that *)
-    List.iter (fun dot -> record t (Execution.Skip { dot })) eff.skipped;
+    List.iter
+      (fun dot ->
+        Execution.record_skip t.execution ~proc:t.me ~time:(now t) dot)
+      eff.skipped;
     List.iter
       (fun (a : Protocol.apply_record) ->
-        record t
-          (Execution.Apply
-             {
-               dot = a.adot;
-               var = a.avar;
-               value = a.avalue;
-               delayed = a.afrom_buffer;
-             }))
+        Execution.record_apply t.execution ~proc:t.me ~time:(now t) a.adot
+          ~var:a.avar ~value:a.avalue ~delayed:a.afrom_buffer)
       eff.applied;
     if t.probes.p_live then begin
       Metrics.add t.probes.p_skips (List.length eff.skipped);
@@ -77,7 +72,8 @@ module Make (P : Protocol.S) = struct
         in
         List.iter
           (fun (dot, var, value) ->
-            record t (Execution.Send { dot; var; value }))
+            Execution.record_send t.execution ~proc:t.me ~time:(now t) dot
+              ~var ~value)
           (P.msg_writes msg);
         match outbound with
         | Protocol.Broadcast m -> Network.broadcast t.network ~src:t.me m
@@ -88,7 +84,9 @@ module Make (P : Protocol.S) = struct
   let on_delivery t ~src ~at:_ msg =
     let writes = P.msg_writes msg in
     List.iter
-      (fun (dot, _, _) -> record t (Execution.Receipt { dot; src }))
+      (fun (dot, _, _) ->
+        Execution.record_receipt t.execution ~proc:t.me ~time:(now t) dot
+          ~src)
       writes;
     let eff = P.receive t.proto ~src msg in
     (* A write-carrying message that produced no apply and no skip was
@@ -103,7 +101,8 @@ module Make (P : Protocol.S) = struct
         | Some waiting_for ->
             List.iter
               (fun (dot, _, _) ->
-                record t (Execution.Blocked { dot; waiting_for }))
+                Execution.record_blocked t.execution ~proc:t.me
+                  ~time:(now t) dot ~waiting_for)
               writes
         | None -> ())
     | _ -> ());
@@ -138,7 +137,8 @@ module Make (P : Protocol.S) = struct
   let read t ~var =
     if not t.probes.p_live then begin
       let value, read_from = P.read t.proto ~var in
-      record t (Execution.Return { var; value; read_from });
+      Execution.record_return t.execution ~proc:t.me ~time:(now t) ~var
+        ~value ~read_from;
       (value, read_from)
     end
     else begin
@@ -151,7 +151,8 @@ module Make (P : Protocol.S) = struct
       let after = V.sum (P.local_clock t.proto) in
       Metrics.incr t.probes.p_reads;
       if after > before then Metrics.incr t.probes.p_merges;
-      record t (Execution.Return { var; value; read_from });
+      Execution.record_return t.execution ~proc:t.me ~time:(now t) ~var
+        ~value ~read_from;
       (value, read_from)
     end
 end

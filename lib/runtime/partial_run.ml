@@ -8,7 +8,6 @@ module Spec = Dsm_workload.Spec
 
 type outcome = {
   execution : Execution.t;
-  history : Dsm_memory.History.t;
   replication : Replication.t;
   messages_sent : int;
   engine_steps : int;
@@ -114,7 +113,6 @@ let run_with (module P : Pp.IMPL) ~replication ~spec ~latency ?(seed = 1)
   | Engine.Hit_time_limit -> assert false);
   {
     execution;
-    history = Execution.to_history execution;
     replication;
     messages_sent = Network.messages_sent network;
     engine_steps = Engine.steps_executed engine;

@@ -9,7 +9,6 @@
 
 type outcome = {
   execution : Execution.t;
-  history : Dsm_memory.History.t;
   replication : Dsm_core.Replication.t;
   messages_sent : int;
   engine_steps : int;

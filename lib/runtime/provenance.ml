@@ -6,23 +6,36 @@ module Sim_time = Dsm_sim.Sim_time
 let spans exec =
   let c = Span.collector () in
   let sink = Span.sink c in
-  List.iter
-    (fun { Execution.proc; time; kind } ->
-      let at = Sim_time.to_float time in
-      match kind with
-      | Execution.Apply { dot; var; value; delayed } ->
-          (* the issuer's local apply is the birth of the write; any
-             other process's apply closes that destination's phase *)
-          if Dot.replica dot = proc then
-            sink (Span.Issue { dot; proc; var; value; at })
-          else sink (Span.Apply { dot; dst = proc; at; delayed })
-      | Execution.Receipt { dot; src = _ } ->
-          sink (Span.Receipt { dot; dst = proc; at })
-      | Execution.Blocked { dot; waiting_for } ->
-          sink (Span.Blocked { dot; dst = proc; waiting_for; at })
-      | Execution.Skip { dot } -> sink (Span.Skip { dot; dst = proc; at })
-      | Execution.Send _ | Execution.Return _ -> ())
-    (Execution.events exec);
+  let module C = Execution.Cursor in
+  let cur = C.global exec in
+  while C.next cur do
+    let proc = C.proc cur and at = C.time cur in
+    let dot () = Execution.Key.to_dot (C.key cur) in
+    match C.tag cur with
+    | Apply ->
+        (* the issuer's local apply is the birth of the write; any
+           other process's apply closes that destination's phase *)
+        if Execution.Key.replica (C.key cur) = proc then
+          sink
+            (Span.Issue
+               { dot = dot (); proc; var = C.var cur; value = C.value cur; at })
+        else
+          sink
+            (Span.Apply
+               { dot = dot (); dst = proc; at; delayed = C.delayed cur })
+    | Receipt -> sink (Span.Receipt { dot = dot (); dst = proc; at })
+    | Blocked ->
+        sink
+          (Span.Blocked
+             {
+               dot = dot ();
+               dst = proc;
+               waiting_for = Execution.Key.to_dot (C.waiting_for cur);
+               at;
+             })
+    | Skip -> sink (Span.Skip { dot = dot (); dst = proc; at })
+    | Send | Return -> ()
+  done;
   c
 
 (* ---- trace files ---------------------------------------------------- *)
@@ -38,10 +51,12 @@ let format_of_string s =
 let format_to_string = function Jsonl -> "jsonl" | Chrome -> "chrome"
 
 let end_time exec =
-  List.fold_left
-    (fun acc (e : Execution.event) ->
-      Float.max acc (Sim_time.to_float e.time))
-    0. (Execution.events exec)
+  let c = Execution.Cursor.global exec in
+  let t = ref 0. in
+  while Execution.Cursor.next c do
+    t := Float.max !t (Execution.Cursor.time c)
+  done;
+  !t
 
 let write_trace fmt ~path exec =
   let sps = Span.spans (spans exec) in

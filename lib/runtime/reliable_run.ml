@@ -7,7 +7,6 @@ module Spec = Dsm_workload.Spec
 
 type outcome = {
   execution : Execution.t;
-  history : Dsm_memory.History.t;
   protocol_name : string;
   payloads_sent : int;
   frames_sent : int;
@@ -58,21 +57,15 @@ let run (module P : Protocol.S) ~spec ~latency ~faults
   in
   let execution = Execution.create ~n:spec.Spec.n ~m:spec.Spec.m () in
   let protos = Array.init spec.Spec.n (fun me -> P.create cfg ~me) in
-  let record proc kind =
-    Execution.record execution ~proc ~time:(Engine.now engine) kind
-  in
   let rec process proc (eff : P.msg Protocol.effects) =
-    List.iter (fun dot -> record proc (Execution.Skip { dot })) eff.skipped;
+    List.iter
+      (fun dot ->
+        Execution.record_skip execution ~proc ~time:(Engine.now engine) dot)
+      eff.skipped;
     List.iter
       (fun (a : Protocol.apply_record) ->
-        record proc
-          (Execution.Apply
-             {
-               dot = a.adot;
-               var = a.avar;
-               value = a.avalue;
-               delayed = a.afrom_buffer;
-             }))
+        Execution.record_apply execution ~proc ~time:(Engine.now engine)
+          a.adot ~var:a.avar ~value:a.avalue ~delayed:a.afrom_buffer)
       eff.applied;
     List.iter
       (fun outbound ->
@@ -83,7 +76,8 @@ let run (module P : Protocol.S) ~spec ~latency ~faults
         in
         List.iter
           (fun (dot, var, value) ->
-            record proc (Execution.Send { dot; var; value }))
+            Execution.record_send execution ~proc ~time:(Engine.now engine)
+              dot ~var ~value)
           (P.msg_writes msg);
         match outbound with
         | Protocol.Broadcast m ->
@@ -94,7 +88,9 @@ let run (module P : Protocol.S) ~spec ~latency ~faults
   and deliver dst ~src msg =
     let writes = P.msg_writes msg in
     List.iter
-      (fun (dot, _, _) -> record dst (Execution.Receipt { dot; src }))
+      (fun (dot, _, _) ->
+        Execution.record_receipt execution ~proc:dst
+          ~time:(Engine.now engine) dot ~src)
       writes;
     let eff = P.receive protos.(dst) ~src msg in
     (* same rule as {!Node.Make}: a carried write that neither applied
@@ -106,7 +102,8 @@ let run (module P : Protocol.S) ~spec ~latency ~faults
         | Some waiting_for ->
             List.iter
               (fun (dot, _, _) ->
-                record dst (Execution.Blocked { dot; waiting_for }))
+                Execution.record_blocked execution ~proc:dst
+                  ~time:(Engine.now engine) dot ~waiting_for)
               writes
         | None -> ())
     | _ -> ());
@@ -133,7 +130,8 @@ let run (module P : Protocol.S) ~spec ~latency ~faults
                   process proc eff
               | Spec.Do_read { var } ->
                   let value, read_from = P.read protos.(proc) ~var in
-                  record proc (Execution.Return { var; value; read_from })))
+                  Execution.record_return execution ~proc
+                    ~time:(Engine.now engine) ~var ~value ~read_from))
         ops)
     schedule;
   (match Engine.run ~max_steps engine with
@@ -145,7 +143,6 @@ let run (module P : Protocol.S) ~spec ~latency ~faults
   | Engine.Hit_time_limit -> assert false);
   {
     execution;
-    history = Execution.to_history execution;
     protocol_name = P.name;
     payloads_sent = Reliable_channel.payloads_sent channel;
     frames_sent = Network.messages_sent network;

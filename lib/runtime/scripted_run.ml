@@ -7,7 +7,6 @@ type action =
 
 type outcome = {
   execution : Execution.t;
-  history : Dsm_memory.History.t;
   protocol_name : string;
   engine_steps : int;
 }
@@ -100,10 +99,9 @@ let run (module P : Protocol.S) ~n ~m ~ops ~delay ?(control_delay = 1.0)
   | Engine.Hit_time_limit -> assert false);
   {
     execution;
-    history = Execution.to_history execution;
     protocol_name = P.name;
     engine_steps = Engine.steps_executed engine;
   }
 
 let quick_history p ~n ~m ~ops ~delay =
-  (run p ~n ~m ~ops ~delay ()).history
+  Execution.to_history (run p ~n ~m ~ops ~delay ()).execution

@@ -14,7 +14,6 @@ type action =
 
 type outcome = {
   execution : Execution.t;
-  history : Dsm_memory.History.t;
   protocol_name : string;
   engine_steps : int;
 }

@@ -199,25 +199,21 @@ let clean r = r.violations = [] && r.duplicate_writes = 0
    d2 when d2's own issuer applied d1 before applying d2 — the causal
    past a replica-issued write inherits, which is exactly what the
    session-vector gate guarantees across a handoff.  One pass over the
-   events builds a (proc, dot) -> apply-index table. *)
+   events builds, per process, a dot -> apply-index table (dots as
+   {!Execution.Key}s). *)
 let apply_index execution =
-  let tbl : (int * Dot.t, int) Hashtbl.t = Hashtbl.create 1024 in
-  let next = Hashtbl.create 16 in
-  List.iter
-    (fun (ev : Execution.event) ->
-      match ev.Execution.kind with
-      | Execution.Apply { dot; _ } ->
-          let i =
-            match Hashtbl.find_opt next ev.Execution.proc with
-            | Some i -> i
-            | None -> 0
-          in
-          Hashtbl.replace next ev.Execution.proc (i + 1);
-          if not (Hashtbl.mem tbl (ev.Execution.proc, dot)) then
-            Hashtbl.add tbl (ev.Execution.proc, dot) i
-      | _ -> ())
-    (Execution.events execution);
-  tbl
+  Array.init (Execution.n_processes execution) (fun proc ->
+      let tbl = Hashtbl.create 256 in
+      let c = Execution.Cursor.of_process execution proc in
+      let next = ref 0 in
+      while Execution.Cursor.next c do
+        if Execution.Cursor.tag c = Apply then begin
+          let key = Execution.Cursor.key c in
+          if not (Hashtbl.mem tbl key) then Hashtbl.add tbl key !next;
+          incr next
+        end
+      done;
+      tbl)
 
 let audit ~execution ~history ?(spans = [])
     ?(home_crashed_after = fun ~home:_ ~t:_ -> false) ~streams () =
@@ -225,12 +221,10 @@ let audit ~execution ~history ?(spans = [])
   let idx = apply_index execution in
   let also_precedes d1 d2 =
     let issuer = Dot.replica d2 in
-    match
-      ( Hashtbl.find_opt idx (issuer, d1),
-        Hashtbl.find_opt idx (issuer, d2) )
-    with
-    | Some i1, Some i2 -> i1 < i2
-    | _ -> false
+    issuer < Array.length idx
+    &&
+    let at d = Hashtbl.find_opt idx.(issuer) (Execution.Key.of_dot d) in
+    match (at d1, at d2) with Some i1, Some i2 -> i1 < i2 | _ -> false
   in
   let value_violations =
     Session_guarantees.check_streams ~also_precedes co streams

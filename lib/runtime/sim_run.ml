@@ -6,7 +6,6 @@ module Spec = Dsm_workload.Spec
 
 type outcome = {
   execution : Execution.t;
-  history : Dsm_memory.History.t;
   protocol_name : string;
   messages_sent : int;
   messages_delivered : int;
@@ -23,7 +22,7 @@ let run (module P : Protocol.S) ~spec ~latency ?latency_fn ?(fifo = false)
     ?(faults = Network.no_faults) ?(seed = 1) ?(max_steps = 10_000_000)
     ?(metrics = Dsm_obs.Metrics.null ()) ?(wire = Dsm_obs.Wire.null ())
     ?(recorder = Dsm_obs.Timeseries.null ()) ?(scrape_every = 25.)
-    ?trace_capacity ?(queue = Engine.Indexed) ?(arena = true)
+    ?(queue = Engine.Indexed) ?(arena = true)
     ?(batch = false) () =
   let cfg = Protocol.config ~n:spec.Spec.n ~m:spec.Spec.m in
   let schedule = Dsm_workload.Generator.generate spec in
@@ -59,10 +58,7 @@ let run (module P : Protocol.S) ~spec ~latency ?latency_fn ?(fifo = false)
           Dsm_obs.Timeseries.scrape recorder
             ~now:(Dsm_sim.Sim_time.to_float (Engine.now engine)))
   end;
-  let execution =
-    Execution.create ?capacity_limit:trace_capacity ~n:spec.Spec.n
-      ~m:spec.Spec.m ()
-  in
+  let execution = Execution.create ~n:spec.Spec.n ~m:spec.Spec.m () in
   let module N = Node.Make (P) in
   let nodes =
     Array.init spec.Spec.n (fun me ->
@@ -111,7 +107,6 @@ let run (module P : Protocol.S) ~spec ~latency ?latency_fn ?(fifo = false)
   end;
   {
     execution;
-    history = Execution.to_history execution;
     protocol_name = P.name;
     messages_sent = Network.messages_sent network;
     messages_delivered = Network.messages_delivered network;

@@ -615,32 +615,36 @@ let run (type pt pm) ?(audit = check_window)
      stale generation slipping past the quarantine cannot forge the
      right value for the slot's current occupant. *)
   let scan_window exec =
-    let applied = Hashtbl.create 1024 in
+    let module Key = Execution.Key in
     let g = ref 0 and f = ref 0 and x = ref 0 and d = ref 0 in
     let w = ref 0 and a = ref 0 in
-    List.iter
-      (fun (ev : Execution.event) ->
-        match ev.Execution.kind with
-        | Execution.Send { dot; var = _; value } ->
+    (* the counts do not depend on order: one process at a time, with
+       its applied dots (as keys) in a table of its own *)
+    let applied = Hashtbl.create 1024 in
+    for proc = 0 to Execution.n_processes exec - 1 do
+      Hashtbl.reset applied;
+      let c = Execution.Cursor.of_process exec proc in
+      while Execution.Cursor.next c do
+        let key = Execution.Cursor.key c in
+        let slot = Key.replica key and seq = Key.seq key in
+        match Execution.Cursor.tag c with
+        | Send ->
             incr w;
-            if
-              value
-              <> Sim_run.write_value ~proc:(Dot.replica dot) ~seq:(Dot.seq dot)
+            if Execution.Cursor.value c <> Sim_run.write_value ~proc:slot ~seq
             then incr f
-        | Execution.Apply { dot; var = _; value; _ } ->
+        | Apply -> (
             incr a;
-            let slot = Dot.replica dot and seq = Dot.seq dot in
-            if value <> Sim_run.write_value ~proc:slot ~seq then incr f;
+            if Execution.Cursor.value c <> Sim_run.write_value ~proc:slot ~seq
+            then incr f;
             if seq <= floor.(slot) then incr x;
-            if Hashtbl.mem applied (ev.Execution.proc, dot) then incr d
-            else Hashtbl.add applied (ev.Execution.proc, dot) ();
-            (match Membership.dot_gen membership ~slot ~seq with
-            | Some gen when gen <> Dot.gen dot -> incr g
+            if Hashtbl.mem applied key then incr d
+            else Hashtbl.add applied key ();
+            match Membership.dot_gen membership ~slot ~seq with
+            | Some gen when gen <> Key.gen key -> incr g
             | _ -> ())
-        | Execution.Receipt _ | Execution.Blocked _ | Execution.Skip _
-        | Execution.Return _ ->
-            ())
-      (Execution.events exec);
+        | Receipt | Blocked | Skip | Return -> ()
+      done
+    done;
     (!w, !a, !g, !f, !x, !d)
   in
   (* ghost-dot scan over live stores: after reclamation no replica may

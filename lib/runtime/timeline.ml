@@ -1,6 +1,3 @@
-module Sim_time = Dsm_sim.Sim_time
-module Dot = Dsm_vclock.Dot
-
 (* marker significance, highest first *)
 let rank = function
   | 'W' -> 5
@@ -11,41 +8,42 @@ let rank = function
   | 'v' -> 0
   | _ -> -1
 
-let marker_of (e : Execution.event) =
-  match e.kind with
-  | Execution.Apply { dot; delayed; _ } ->
-      if Dot.replica dot = e.proc then Some 'W'
-      else if delayed then Some '*'
+let marker_of c =
+  let module C = Execution.Cursor in
+  match C.tag c with
+  | Apply ->
+      if Execution.Key.replica (C.key c) = C.proc c then Some 'W'
+      else if C.delayed c then Some '*'
       else Some 'A'
-  | Execution.Receipt _ -> Some 'v'
-  | Execution.Return _ -> Some 'R'
-  | Execution.Skip _ -> Some 'x'
-  | Execution.Send _ | Execution.Blocked _ -> None (* coincides with the issuer's W *)
+  | Receipt -> Some 'v'
+  | Return -> Some 'R'
+  | Skip -> Some 'x'
+  | Send | Blocked -> None (* coincides with the issuer's W *)
 
 let render ?(width = 72) ?(legend = true) exec =
   if width < 8 then invalid_arg "Timeline.render: width must be >= 8";
-  let events = Execution.events exec in
   let n = Execution.n_processes exec in
-  let t_end =
-    List.fold_left
-      (fun acc (e : Execution.event) ->
-        Float.max acc (Sim_time.to_float e.time))
-      0. events
+  let each_event f =
+    let c = Execution.Cursor.global exec in
+    while Execution.Cursor.next c do
+      f c
+    done
   in
+  let t_end = ref 0. in
+  each_event (fun c -> t_end := Float.max !t_end (Execution.Cursor.time c));
+  let t_end = !t_end in
   let scale = if t_end > 0. then float_of_int (width - 1) /. t_end else 0. in
   let lanes = Array.init n (fun _ -> Bytes.make width '-') in
-  List.iter
-    (fun (e : Execution.event) ->
-      match marker_of e with
+  each_event (fun c ->
+      match marker_of c with
       | None -> ()
       | Some m ->
+          let proc = Execution.Cursor.proc c in
           let col =
-            min (width - 1)
-              (int_of_float (Sim_time.to_float e.time *. scale))
+            min (width - 1) (int_of_float (Execution.Cursor.time c *. scale))
           in
-          let cur = Bytes.get lanes.(e.proc) col in
-          if rank m > rank cur then Bytes.set lanes.(e.proc) col m)
-    events;
+          let cur = Bytes.get lanes.(proc) col in
+          if rank m > rank cur then Bytes.set lanes.(proc) col m);
   let buf = Buffer.create (n * (width + 8)) in
   Buffer.add_string buf
     (Printf.sprintf "t = 0 %s %.1f\n"

@@ -66,7 +66,8 @@ let same_outcome name seed (o1 : Sim_run.outcome) (o2 : Sim_run.outcome) =
   Alcotest.(check bool)
     (ctx "identical histories (reads and writes)")
     true
-    (History.ops o1.Sim_run.history = History.ops o2.Sim_run.history);
+    (History.ops (Execution.to_history o1.Sim_run.execution)
+    = History.ops (Execution.to_history o2.Sim_run.execution));
   let n = Execution.n_processes o1.Sim_run.execution in
   List.iter
     (fun p ->
@@ -143,7 +144,8 @@ let test_partial () =
       in
       Alcotest.(check bool)
         (ctx "identical histories") true
-        (History.ops o1.Partial_run.history = History.ops o2.Partial_run.history);
+        (History.ops (Execution.to_history o1.Partial_run.execution)
+        = History.ops (Execution.to_history o2.Partial_run.execution));
       List.iter
         (fun p ->
           Alcotest.(check bool)
@@ -213,8 +215,8 @@ let test_variants_partial () =
           in
           Alcotest.(check bool)
             (ctx "identical histories") true
-            (History.ops base.Partial_run.history
-            = History.ops o.Partial_run.history);
+            (History.ops (Execution.to_history base.Partial_run.execution)
+            = History.ops (Execution.to_history o.Partial_run.execution));
           Alcotest.(check int)
             (ctx "identical engine step counts")
             base.Partial_run.engine_steps o.Partial_run.engine_steps)
@@ -281,8 +283,8 @@ let test_observed_partial () =
       in
       Alcotest.(check bool)
         (ctx "identical histories") true
-        (History.ops base.Partial_run.history
-        = History.ops o.Partial_run.history);
+        (History.ops (Execution.to_history base.Partial_run.execution)
+        = History.ops (Execution.to_history o.Partial_run.execution));
       List.iter
         (fun p ->
           Alcotest.(check bool)
@@ -359,7 +361,7 @@ let test_churn_free_parity () =
       Alcotest.(check bool)
         (ctx "identical histories")
         true
-        (History.ops of_.Fault_campaign.history
+        (History.ops (Execution.to_history of_.Fault_campaign.execution)
         = History.ops oc.Churn_campaign.history);
       Alcotest.(check bool)
         (ctx "identical final replica states")

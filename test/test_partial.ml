@@ -224,7 +224,8 @@ let prop_partial_session_guarantees =
     (fun seed ->
       let o = run_ring ~degree:2 ~seed in
       Dsm_memory.Session_guarantees.all_hold
-        (Dsm_memory.Causal_order.compute o.Partial_run.history))
+        (Dsm_memory.Causal_order.compute
+           (Execution.to_history o.Partial_run.execution)))
 
 let () =
   Alcotest.run "partial_replication"

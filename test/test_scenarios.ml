@@ -40,7 +40,7 @@ let test_scenarios_reproduce_h1_optp () =
         Alcotest.(check bool)
           (s.label ^ ": OptP history = Ĥ₁")
           true
-          (PS.h1_matches outcome.history)
+          (PS.h1_matches (Execution.to_history outcome.execution))
       end)
     PS.all
 
@@ -48,7 +48,7 @@ let test_figure3_anbkh_reproduces_h1 () =
   let outcome = PS.run anbkh PS.figure3 in
   Alcotest.(check bool)
     "figure 3 under ANBKH yields Ĥ₁" true
-    (PS.h1_matches outcome.history)
+    (PS.h1_matches (Execution.to_history outcome.execution))
 
 let delays_at outcome proc =
   Execution.delay_count_at outcome.Scripted_run.execution proc
@@ -166,8 +166,8 @@ let test_direct_mirrors_optp_on_scenarios () =
       Alcotest.(check bool)
         (s.label ^ ": same history")
         true
-        (Dsm_memory.History.ops o1.history
-        = Dsm_memory.History.ops o2.history);
+        (Dsm_memory.History.ops (Execution.to_history o1.execution)
+        = Dsm_memory.History.ops (Execution.to_history o2.execution));
       Alcotest.(check int)
         (s.label ^ ": same delay count")
         (Execution.delay_count o1.execution)
